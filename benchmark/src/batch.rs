@@ -47,12 +47,16 @@ pub struct Repeats {
     pub peaks: Vec<f64>,
     pub digests: Vec<u64>,
     pub avg_f: Vec<f64>,
+    /// Which of the run's inputs each repeat ran on.
+    pub inputs: Vec<usize>,
 }
 
 impl Repeats {
-    /// Records one repeat's detection output: scores and digests it.
+    /// Records one repeat's detection output on input `input`: scores
+    /// and digests it.
     pub fn record(
         &mut self,
+        input: usize,
         wall_s: f64,
         peak_mib: f64,
         out: &Clustering,
@@ -64,10 +68,12 @@ impl Repeats {
         self.peaks.push(peak_mib);
         self.avg_f.push(avg_f1(truth, &dominant));
         self.digests.push(digest(member_lists(out)));
+        self.inputs.push(input);
     }
 
     /// Fills the end-to-end metrics and checks every repeat: its AVG-F
-    /// reaches the reference and its digest equals the first repeat's.
+    /// reaches the reference and its digest equals that of the first
+    /// repeat on the same input.
     pub fn finish(&self, out: &mut Outcome, ctx: &Ctx, items: usize) {
         let wall_ms: Vec<f64> = self.walls.iter().map(|w| w * 1e3).collect();
         out.e2e.insert("items_per_s", items as f64 / median(&self.walls));
@@ -81,13 +87,17 @@ impl Repeats {
         let walls: Vec<String> = self.walls.iter().map(|w| format!("{w:.3}")).collect();
         out.notes.push(format!("detection-call walls (s), in order: {}", walls.join(" ")));
         for (i, (&d, &f)) in self.digests.iter().zip(&self.avg_f).enumerate() {
-            let ok = d == self.digests[0] && f >= ctx.avg_f_reference;
+            let first = self.inputs.iter().position(|&x| x == self.inputs[i]).expect("recorded");
+            let ok = d == self.digests[first] && f >= ctx.avg_f_reference;
             out.attempted += 1;
             out.failed += u64::from(!ok);
             out.check(
                 format!("repeat {i}"),
                 ok,
-                format!("digest {d:016x}, AVG-F {f:.4} (reference {})", ctx.avg_f_reference),
+                format!(
+                    "input {}, digest {d:016x}, AVG-F {f:.4} (reference {})",
+                    self.inputs[i], ctx.avg_f_reference
+                ),
             );
         }
     }

@@ -170,6 +170,7 @@ fn main() {
             avg_f_reference: cat.avg_f_reference[*name],
         };
         let tr = Tracer::new(args.trace);
+        stats::reset_peak_rss();
         let mut out = match *name {
             "palid_sift" => palid::run(&ctx, &tr),
             "peel_bounded" => peel::run(&ctx, &tr),

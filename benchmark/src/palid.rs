@@ -23,19 +23,12 @@ use crate::trace::Tracer;
 /// Descriptors in the input (128-d, 60% noise, visual words of ~100).
 pub const ITEMS: usize = 3_000;
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 25;
-/// Mapper detections per call (`PalidParams::max_tasks`). Uncapped, the
-/// seeds sampled from the LSH buckets number 495 to 612 depending on the
-/// input seed, which moves the work by up to a fifth; capped below that
-/// range, every input runs the same number of detections (AVG-F is
-/// unchanged).
-const TASKS: usize = 450;
+const SETUPS: usize = 100;
 
 pub fn run(ctx: &Ctx, tr: &Tracer) -> Outcome {
     let mut out = Outcome::default();
     let gen = sift(&SiftConfig::scaled(ITEMS, ctx.seed));
     let dim = gen.data.dim();
-    let rows: Vec<Vec<f64>> = gen.data.iter().map(<[f64]>::to_vec).collect();
     let cfg = RunCfg::default().with_exec(ExecPolicy::workers(WORKERS));
     out.facts.extend([
         ("items", ITEMS.to_json()),
@@ -45,20 +38,20 @@ pub fn run(ctx: &Ctx, tr: &Tracer) -> Outcome {
         ("executors", WORKERS.to_json()),
     ]);
 
-    // Set-up: build the data set from the rows and calibrate the
-    // parameters.
+    // Set-up: build the data set from the generated rows and calibrate
+    // the parameters.
     let mut setup = Vec::with_capacity(SETUPS);
     let mut built = None;
     for _ in 0..SETUPS {
         let t = Instant::now();
-        let ds = Dataset::from_rows(dim, rows.iter().map(Vec::as_slice));
+        let ds = Dataset::from_rows(dim, gen.data.iter());
         let params = cfg.alid_params(&gen);
         setup.push(t.elapsed().as_secs_f64());
         built = Some((ds, params));
     }
     let (ds, params) = built.expect("SETUPS >= 1");
     out.e2e.insert("setup_s", median(&setup));
-    let pp = PalidParams { max_tasks: Some(TASKS), ..PalidParams::with_executors(WORKERS) };
+    let pp = PalidParams::with_executors(WORKERS);
 
     if tr.on() {
         traced(ctx, tr, &mut out, &ds, &params, &pp, &cfg, &gen.truth);
@@ -72,7 +65,7 @@ pub fn run(ctx: &Ctx, tr: &Tracer) -> Outcome {
         let t = Instant::now();
         let clustering = palid_detect(&ds, &params, &pp, &cost);
         let wall = t.elapsed().as_secs_f64();
-        reps.record(wall, cost.snapshot().peak_mib(), &clustering, &cfg, &gen.truth);
+        reps.record(0, wall, cost.snapshot().peak_mib(), &clustering, &cfg, &gen.truth);
         last = t.elapsed();
     }
     reps.queries = point_queries(&ds, &params);
@@ -113,7 +106,7 @@ fn traced(
         let snap = cost.snapshot();
         layers::affinity(out, &snap, 0);
         let mut reps = Repeats::default();
-        reps.record(wall2, snap.peak_mib(), &clustering, cfg, truth);
+        reps.record(0, wall2, snap.peak_mib(), &clustering, cfg, truth);
         reps.finish(out, ctx, ITEMS);
         same_output(out, "untraced run", reps.digests[0], &untraced);
 
@@ -139,7 +132,6 @@ fn traced(
         if seeds.is_empty() {
             seeds = (0..ds.len() as u32).collect();
         }
-        seeds.truncate(TASKS);
         let mut outcomes = Vec::with_capacity(seeds.len());
         let mut det_ms = Vec::with_capacity(seeds.len());
         for &seed in &seeds {

@@ -3,7 +3,7 @@
 //! group-commit fsync) fed the `bench_service` burst stream.
 //!
 //! Load comes from this process over at most two connections: one
-//! closed-loop client sends 16-item `POST /ingest` requests, and one
+//! closed-loop client sends 32-item `POST /ingest` requests, and one
 //! open-loop reader polls `GET /clusters?view=merged&k=10` at a fixed
 //! 20/s, its latency measured from each poll's due time. Per-item cost
 //! grows with stream length (noise stays pending and every sweep
@@ -39,13 +39,15 @@ pub const ITEMS: usize = 6_000;
 const DIM: usize = 8;
 const SHARDS: usize = 2;
 const SWEEP_PERIOD: usize = 32;
-/// Items per `POST /ingest`.
-const REQUEST_ITEMS: usize = 16;
+/// Items per `POST /ingest`: one sweep period. With half a period per
+/// request, about half the requests sweep a shard and half do not, and
+/// the median ingest latency would sit on the step between the two.
+const REQUEST_ITEMS: usize = SWEEP_PERIOD;
 /// The reader's fixed poll rate.
 const READER_HZ: f64 = 20.0;
 const READER_PATH: &str = "/clusters?view=merged&k=10";
 /// Set-ups per pass; `setup_s` is the median over all of them.
-const SETUPS_PER_PASS: usize = 5;
+const SETUPS_PER_PASS: usize = 20;
 
 /// Seed of `bench_service`'s own stream, whose burst centres every run
 /// keeps. A centre drawn near one of the router's hyperplanes splits its
@@ -349,6 +351,7 @@ pub fn run(ctx: &Ctx, tr: &Tracer) -> Outcome {
     let mut setup = Vec::new();
     let mut passes: Vec<Pass> = Vec::new();
     let mut peaks = Vec::new();
+    let mut rss_mib = f64::NAN;
 
     if tr.on() {
         let served = set_up(params, &dir, &mut setup);
@@ -388,6 +391,12 @@ pub fn run(ctx: &Ctx, tr: &Tracer) -> Outcome {
         let p = pass(&served, &items, tr, 0);
         peaks.push(served.service.cost().snapshot().peak_mib());
         served.stop();
+        if passes.is_empty() {
+            // The resident peak of the first pass only: each later pass
+            // starts on heap the allocator kept from the ones before, and
+            // how many passes a run holds depends on the host's speed.
+            rss_mib = peak_rss_mib();
+        }
         passes.push(p);
         last = t.elapsed();
     }
@@ -406,7 +415,7 @@ pub fn run(ctx: &Ctx, tr: &Tracer) -> Outcome {
     out.pct("query_p50_ms", percentile(&query, 0.50));
     out.pct("query_p90_ms", percentile(&query, 0.90));
     out.e2e.insert("peak_mib", median(&peaks));
-    out.e2e.insert("rss_mib", peak_rss_mib());
+    out.e2e.insert("rss_mib", rss_mib);
     let lp = percentile(&late, 0.90);
     out.notes.push(format!(
         "reader ran late by p50 {:.3} ms, p90 {:.3} ms (n={}, {} beyond); {} passes, {} set-ups",

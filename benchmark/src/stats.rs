@@ -41,31 +41,34 @@ pub fn percentile(v: &[f64], q: f64) -> Pct {
     Pct { value: s[rank - 1], samples: s.len(), beyond: s.len() - rank }
 }
 
-/// Peak resident set of this process in MiB (`ru_maxrss`, which Linux
-/// reports in KiB and which matches `VmHWM`).
-pub fn peak_rss_mib() -> f64 {
-    /// `struct rusage` of 64-bit Linux: two `timeval`s, then fourteen
-    /// `long` counters, `ru_maxrss` first.
-    #[repr(C)]
-    struct RUsage {
-        utime: [i64; 2],
-        stime: [i64; 2],
-        maxrss: i64,
-        rest: [i64; 13],
-    }
+/// Resets this process's peak resident set (`VmHWM`) to its current
+/// resident set, so that the next workload of `--workload all` reports
+/// its own peak rather than that of the workloads before it. Heap pages
+/// the allocator still holds after an earlier workload are handed back
+/// first, or they would count in the next workload's peak.
+pub fn reset_peak_rss() {
     extern "C" {
-        fn getrusage(who: i32, usage: *mut RUsage) -> i32;
+        fn malloc_trim(pad: usize) -> i32;
     }
-    const RUSAGE_SELF: i32 = 0;
-    let mut usage = RUsage { utime: [0; 2], stime: [0; 2], maxrss: 0, rest: [0; 13] };
-    // SAFETY: `usage` is a live, writable value whose layout matches
-    // the C `struct rusage` on 64-bit Linux (the only target this
-    // benchmark runs on); getrusage writes only inside it.
-    let rc = unsafe { getrusage(RUSAGE_SELF, &mut usage) };
-    if rc != 0 {
-        return f64::NAN;
+    // SAFETY: glibc's `malloc_trim` takes no pointers and only returns
+    // free heap pages to the kernel.
+    unsafe { malloc_trim(0) };
+    if let Err(e) = std::fs::write("/proc/self/clear_refs", "5") {
+        eprintln!("could not reset the peak resident set: {e}");
     }
-    usage.maxrss as f64 / 1024.0
+}
+
+/// Peak resident set of this process in MiB (`VmHWM` of
+/// `/proc/self/status`) since the last [`reset_peak_rss`]; NaN when it
+/// cannot be read.
+pub fn peak_rss_mib() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|kib| kib.trim().parse::<f64>().ok())
+        .map_or(f64::NAN, |kib| kib / 1024.0)
 }
 
 /// Parses Prometheus text exposition into `series -> value`, keeping
@@ -149,7 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn rss_is_positive() {
+    fn rss_is_positive_after_a_reset() {
+        reset_peak_rss();
         assert!(peak_rss_mib() > 0.0);
     }
 }

@@ -2,16 +2,21 @@
 """Steadiness mode: runs the benchmark as two sets of runs of the same
 build and reports, per workload and end-to-end metric, each set's median
 and quartiles, the spread (interquartile distance over the median), and
-whether the sets agree within the metric's bound from BENCHMARK.json.
+whether the two sets agree within the metric's bound from BENCHMARK.json.
 
 Run from the repository root:
 
-    python3 benchmark/steady.py [--runs 10] [--sets 2] [--workloads a,b]
+    python3 benchmark/steady.py [--runs 10] [--workloads a,b]
 
 Every run gets its own seed: run i of set s uses 100 + s*runs + i.
-The sets agree when, for every metric, the spread of each set (setup_s
-excepted) is within the bound and the second median is not worse than
-the first by more than the bound. Exit code 1 when they do not.
+The sets agree on a metric when the spread of each set is within the
+bound and the two medians differ, in either direction, by at most the
+bound of the first. As in the benchmark's acceptance rule, the spread of
+setup_s is reported but not held to its bound: on palid_sift and
+served_ingest set-up takes about a millisecond, and its run-to-run
+spread follows the host's page-fault and file-system latency, not the
+code; its medians must still agree. Exit code 1 when the sets do not
+agree on every metric.
 """
 
 import argparse
@@ -22,6 +27,7 @@ import sys
 import time
 
 FIRST_SEED = 100
+SETS = 2
 
 
 def run_once(command, workload, seed, seconds):
@@ -49,7 +55,6 @@ def summary(values):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
     ap.add_argument("--workloads", default="")
     args = ap.parse_args()
     with open("BENCHMARK.json") as f:
@@ -60,7 +65,7 @@ def main():
     agree = True
     for workload in workloads:
         sets = []
-        for s in range(args.sets):
+        for s in range(SETS):
             runs = []
             for i in range(args.runs):
                 seed = FIRST_SEED + s * args.runs + i
@@ -69,20 +74,20 @@ def main():
                 print(f"  {workload} set {s} seed {seed}: {elapsed:.1f} s  {shown}", file=sys.stderr, flush=True)
                 runs.append(values)
             sets.append(runs)
-        print(f"\n== {workload} ({args.sets} sets x {args.runs} runs, {seconds} s each) ==")
+        print(f"\n== {workload} ({SETS} sets x {args.runs} runs, {seconds} s each) ==")
         print(f"  {'metric':<16} {'bound':>6}  " + "  ".join(
-            f"{'set'+str(s)+' median':>14} {'q1':>11} {'q3':>11} {'spread':>7}" for s in range(args.sets)) + "  verdict")
+            f"{'set'+str(s)+' median':>14} {'q1':>11} {'q3':>11} {'spread':>7}" for s in range(SETS)) + "  verdict")
         for m in metrics:
             name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
             stats = [summary([r[name] for r in runs]) for runs in sets]
+            first, second = stats[0][0], stats[1][0]
+            worse = (second - first) / first if lower else (first - second) / first
             spreads_ok = name == "setup_s" or all(st[3] <= bound for st in stats)
-            first, last = stats[0][0], stats[-1][0]
-            worse = (last - first) / first if lower else (first - last) / first
-            ok = spreads_ok and worse <= bound
+            ok = spreads_ok and abs(worse) <= bound
             agree &= ok
             cells = "  ".join(f"{st[0]:>14.6g} {st[1]:>11.6g} {st[2]:>11.6g} {st[3]:>7.3f}" for st in stats)
             flag = "" if ok else "  <-- outside bound"
-            third = "" if name == "setup_s" or all(st[3] <= bound / 3 for st in stats) else " (spread above bound/3)"
+            third = "" if all(st[3] <= bound / 3 for st in stats) else " (spread above bound/3)"
             print(f"  {name:<16} {bound:>6.2f}  {cells}  {'agree' if ok else 'DISAGREE'} (2nd vs 1st {worse:+.3f}){third}{flag}")
     sys.exit(0 if agree else 1)
 
